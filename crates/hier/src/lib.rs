@@ -78,4 +78,4 @@ pub use pass::{
     AUTO_THRESHOLD,
 };
 pub use place::{build_layout, place_clusters};
-pub use store::{PlanStore, PlanStoreConfig, StoreWarning, STORE_VERSION};
+pub use store::{fnv1a, Fnv1a, PlanStore, PlanStoreConfig, StoreWarning, STORE_VERSION};

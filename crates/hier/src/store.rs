@@ -49,12 +49,47 @@ const FILE_NAME: &str = "plans.qps";
 /// FNV-1a over a byte slice — the record checksum (and the exact-form
 /// hash the memo tier shares).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::new();
+    hash.bytes(bytes);
+    hash.finish()
+}
+
+/// Streaming FNV-1a: feeding pieces hashes exactly as [`fnv1a`] over
+/// their concatenation, without building it.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty-input state (the FNV-1a offset basis).
+    #[must_use]
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Feeds `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Feeds `word` as its 8 little-endian bytes.
+    pub fn word(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+
+    /// The hash of everything fed so far.
+    #[must_use]
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
 }
 
 /// Size bounds of the disk tier.
@@ -138,6 +173,37 @@ impl fmt::Display for StoreWarning {
                 )
             }
             StoreWarning::Io { op, message } => write!(f, "{op} failed: {message}"),
+        }
+    }
+}
+
+impl StoreWarning {
+    /// The journal message: fixed per variant, so the journal interns one
+    /// string per kind of defect however many offsets or errors recur.
+    fn journal_message(&self) -> &'static str {
+        match self {
+            StoreWarning::TruncatedTail { .. } => "truncated tail record; loaded the prefix",
+            StoreWarning::CorruptRecord { .. } => "corrupt record skipped",
+            StoreWarning::AlienVersion { .. } => "alien-version record skipped",
+            StoreWarning::OversizedRecord { .. } => "oversized record not written",
+            StoreWarning::Io { .. } => "store I/O failed",
+        }
+    }
+
+    /// The varying detail, as journal fields.
+    fn journal_fields(&self) -> Vec<(&'static str, String)> {
+        match self {
+            StoreWarning::TruncatedTail { offset } | StoreWarning::CorruptRecord { offset } => {
+                vec![("offset", offset.to_string())]
+            }
+            StoreWarning::AlienVersion { offset, version } => vec![
+                ("offset", offset.to_string()),
+                ("version", version.to_string()),
+            ],
+            StoreWarning::OversizedRecord { bytes } => vec![("bytes", bytes.to_string())],
+            StoreWarning::Io { op, message } => {
+                vec![("op", (*op).to_string()), ("error", message.clone())]
+            }
         }
     }
 }
@@ -274,11 +340,14 @@ impl PlanStore {
 
     fn warn(&mut self, warning: StoreWarning) {
         eprintln!("plan store: {warning}");
+        let mut fields = vec![("path", self.path.display().to_string())];
+        fields.extend(warning.journal_fields());
+        let fields: Vec<(&str, &str)> = fields.iter().map(|(k, v)| (*k, v.as_str())).collect();
         obs::event(
             obs::Level::Warn,
             "plan-store",
-            &warning.to_string(),
-            &[("path", &self.path.display().to_string())],
+            warning.journal_message(),
+            &fields,
         );
         self.warnings.push(warning);
     }
@@ -472,6 +541,17 @@ mod tests {
     }
 
     #[test]
+    fn streaming_fnv_matches_the_one_shot_hash() {
+        let mut streamed = Fnv1a::new();
+        streamed.bytes(b"aspen");
+        streamed.word(16);
+        let mut whole = b"aspen".to_vec();
+        whole.extend_from_slice(&16u64.to_le_bytes());
+        assert_eq!(streamed.finish(), fnv1a(&whole));
+        assert_eq!(Fnv1a::default().finish(), fnv1a(&[]));
+    }
+
+    #[test]
     fn round_trips_across_store_instances() {
         let dir = temp_store_dir("roundtrip");
         let mut store = PlanStore::open(&dir).unwrap();
@@ -526,6 +606,43 @@ mod tests {
             reopened.take_warnings().as_slice(),
             [StoreWarning::CorruptRecord { .. }]
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_records_share_one_journal_message_and_carry_their_offsets() {
+        obs::enable();
+        let dir = temp_store_dir("journal");
+        let mut store = PlanStore::open(&dir).unwrap();
+        for tag in 1..=3 {
+            store.append(&key(tag), &[(0, 1)]);
+        }
+        drop(store);
+        let file = dir.join(FILE_NAME);
+        let mut bytes = std::fs::read(&file).unwrap();
+        // Flip a body byte of records 1 and 2: two checksum failures at
+        // two different offsets, frames intact, record 3 still loads.
+        let record = encode_record(&key(1), &[(0, 1)]).len();
+        bytes[RECORD_HEADER + 3] ^= 0x40;
+        bytes[record + RECORD_HEADER + 3] ^= 0x40;
+        std::fs::write(&file, &bytes).unwrap();
+        let mut reopened = PlanStore::open(&dir).unwrap();
+        assert_eq!(reopened.load(&key(3)), Some(vec![(0, 1)]));
+        let path = reopened.path.display().to_string();
+        let field = |event: &obs::Event, key: &str| {
+            let (_, value) = event.fields.iter().find(|(k, _)| k == key).unwrap();
+            value.clone()
+        };
+        let (_, events) = obs::events_since(0, obs::Level::Warn);
+        let ours: Vec<&obs::Event> = events
+            .iter()
+            .filter(|e| &*e.subsystem == "plan-store" && field(e, "path") == path)
+            .collect();
+        assert_eq!(ours.len(), 2, "{ours:?}");
+        assert!(std::sync::Arc::ptr_eq(&ours[0].message, &ours[1].message));
+        assert_eq!(&*ours[0].message, "corrupt record skipped");
+        assert_eq!(field(ours[0], "offset"), "0");
+        assert_eq!(field(ours[1], "offset"), record.to_string());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -951,19 +951,7 @@ impl Drop for MappingService {
 /// which is how service responses pin the engine determinism contract
 /// without shipping the routed circuit.
 pub fn result_fingerprint(result: &MappingResult) -> u64 {
-    struct Fnv(u64);
-    impl Fnv {
-        fn bytes(&mut self, bytes: &[u8]) {
-            for &byte in bytes {
-                self.0 ^= u64::from(byte);
-                self.0 = self.0.wrapping_mul(0x100000001b3);
-            }
-        }
-        fn word(&mut self, x: u64) {
-            self.bytes(&x.to_le_bytes());
-        }
-    }
-    let mut fnv = Fnv(0xcbf29ce484222325);
+    let mut fnv = hier::Fnv1a::new();
     fnv.word(result.routed.n_qubits() as u64);
     for gate in result.routed.gates() {
         fnv.bytes(gate.kind.name().as_bytes());
@@ -982,21 +970,17 @@ pub fn result_fingerprint(result: &MappingResult) -> u64 {
         }
     }
     fnv.word(result.swaps as u64);
-    fnv.0
+    fnv.finish()
 }
 
 /// FNV-1a over the job ID and its admission stamp: a per-job trace
 /// identity unique enough to correlate a router's wrapper span with the
 /// shard-side tree it stitched around.
 fn trace_id_for(id: u64, admitted_ns: u64) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for word in [id, admitted_ns] {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let mut fnv = hier::Fnv1a::new();
+    fnv.word(id);
+    fnv.word(admitted_ns);
+    fnv.finish()
 }
 
 /// Runs one admitted job to a stored outcome, bracketing it in the job's

@@ -191,51 +191,220 @@ pub struct Summary {
     pub success_ppm: Option<i64>,
 }
 
-/// Daemon counters reported by [`Response::Stats`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatsBody {
-    /// The daemon's protocol version.
-    pub protocol: u64,
-    /// Mapping worker count.
-    pub workers: u64,
-    /// Jobs currently waiting in the admission queue.
-    pub queue_depth: u64,
-    /// Jobs accepted since startup.
-    pub submitted: u64,
-    /// Jobs completed successfully since startup.
-    pub completed: u64,
-    /// Jobs rejected at admission (queue full / shutting down).
-    pub rejected: u64,
-    /// Jobs that failed while mapping.
-    pub failed: u64,
-    /// Process-wide shared distance-cache hits (cross-request
-    /// amortization counter).
-    pub distance_hits: u64,
-    /// Process-wide shared distance-cache misses.
-    pub distance_misses: u64,
-    /// Process-wide transitive-closure memo hits.
-    pub closure_hits: u64,
-    /// Process-wide transitive-closure memo misses.
-    pub closure_misses: u64,
-    /// Process-wide reliability-weighted distance-cache hits (additive
-    /// field; absent on the wire decodes as 0).
-    pub weighted_hits: u64,
-    /// Process-wide reliability-weighted distance-cache misses.
-    pub weighted_misses: u64,
-    /// Process-wide hierarchical sub-routing fragment-memo hits.
-    pub subroute_hits: u64,
-    /// Process-wide hierarchical sub-routing fragment-memo misses.
-    pub subroute_misses: u64,
-    /// Plan-store hits where the fragment was byte-identical to one
-    /// already cached (additive field; absent on the wire decodes as 0).
-    pub plan_exact_hits: u64,
-    /// Plan-store hits earned by canonicalization: a structurally
-    /// isomorphic fragment under a different labeling shared the plan.
-    pub plan_canonical_hits: u64,
-    /// Plans loaded from the optional `--plan-store` disk tier.
-    pub plan_disk_hits: u64,
-    /// Plans persisted to the disk tier after a fresh compute.
-    pub plan_disk_writes: u64,
+// ---------------------------------------------------------------------------
+// Flat bodies: one field table each
+// ---------------------------------------------------------------------------
+
+/// What [`wire_body!`] derives for a flat body from its field table.
+pub(crate) trait FlatBody: Sized {
+    /// Every member zero (a `keep` member too: whoever folds sets it).
+    fn zero() -> Self;
+    /// Folds another body into this one by each member's fleet rule.
+    fn merge(&mut self, other: &Self);
+    /// The table's wire members, in table order.
+    fn members(&self) -> Vec<(&'static str, Json)>;
+    /// Overwrites the table's members from the JSON object `value`.
+    fn decode(self, value: &Json) -> Result<Self, ProtoError>;
+    /// The table's scraper lines, in table order.
+    fn scrape(&self) -> Vec<ScrapeLine>;
+}
+
+/// Where a scraper line sits in [`MetricsBody::render`]: job counters
+/// and gauges, then cache and plan-store counters, then the queue-delay
+/// summary. Within a section the counter block's lines come first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Section {
+    Jobs,
+    Caches,
+    Queue,
+}
+
+/// One scraper line of a flat body, before rendering.
+pub(crate) struct ScrapeLine {
+    section: Section,
+    name: &'static str,
+    /// Label key and value, e.g. `("cache", "distance")`.
+    label: Option<(&'static str, &'static str)>,
+    /// The metric family's TYPE and HELP, carried by its first row only.
+    family: Option<(&'static str, &'static str)>,
+    value: String,
+}
+
+/// Declares a flat wire body from one field table and derives its
+/// [`FlatBody`] code. Each row reads
+///
+/// ```text
+/// /// Doc comment.
+/// field: kind = "wire_key", presence, merge[, scrape Section "name" [{k = "v"}] [type "help"]];
+/// ```
+///
+/// * `kind`: `u64` or `f64`, on the wire and in the struct;
+/// * `presence`: `required`, or `additive` (absent decodes as 0, so
+///   bodies from daemons predating the field still parse);
+/// * `merge`: how the router folds shard bodies, `sum`, `max`, or
+///   `keep` (the fleet total's own value stands);
+/// * `scrape`: the optional scraper line: its [`Section`], metric name,
+///   one optional label, and the family's TYPE and HELP text, given on
+///   the family's first row (later rows of a labeled family omit them).
+///
+/// Members that are not flat numbers go in the struct braces ahead of
+/// the table, each with its zero value and merge function; their wire
+/// shape stays hand-written.
+macro_rules! wire_body {
+    (@merge sum, $total:expr, $part:expr) => { $total += $part };
+    (@merge max, $total:expr, $part:expr) => { $total = $total.max($part) };
+    (@merge keep, $total:expr, $part:expr) => {};
+    (@encode u64, $v:expr) => { num_u64($v) };
+    (@encode f64, $v:expr) => { Json::Num($v) };
+    (@decode u64, required, $value:expr, $key:expr) => { u64_field($value, $key) };
+    (@decode u64, additive, $value:expr, $key:expr) => { opt_u64_field($value, $key) };
+    (@decode f64, required, $value:expr, $key:expr) => { f64_field($value, $key) };
+    (@decode f64, additive, $value:expr, $key:expr) => { opt_f64_field($value, $key) };
+    (@scrape $v:expr) => { None };
+    (@scrape $v:expr, $section:ident $metric:literal
+        $({ $lkey:ident = $lval:literal })? $($mtype:ident $help:literal)?) => {
+        Some(ScrapeLine {
+            section: Section::$section,
+            name: $metric,
+            label: wire_body!(@pair $(stringify!($lkey), $lval)?),
+            family: wire_body!(@pair $(stringify!($mtype), $help)?),
+            value: $v.to_string(),
+        })
+    };
+    (@presence required) => { "required" };
+    (@presence additive) => { "additive (absent decodes as 0)" };
+    (@pair) => { None };
+    (@pair $a:expr, $b:expr) => { Some(($a, $b)) };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$xmeta:meta])* pub $xfield:ident: $xty:ty = $xzero:expr, $xmerge:path; )*
+        }
+        table {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident: $kind:ident = $key:literal, $presence:ident, $merge:ident
+                $(, scrape $section:ident $metric:literal
+                    $({ $lkey:ident = $lval:literal })? $($mtype:ident $help:literal)?)?;
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$xmeta])* pub $xfield: $xty, )*
+            $(
+                $(#[$fmeta])*
+                #[doc = ""]
+                #[doc = concat!("Wire key `", $key, "`, ", wire_body!(@presence $presence),
+                    "; fleet merge: `", stringify!($merge), "`.")]
+                pub $field: $kind,
+            )*
+        }
+
+        impl FlatBody for $name {
+            fn zero() -> Self {
+                $name { $( $xfield: $xzero, )* $( $field: Default::default(), )* }
+            }
+
+            fn merge(&mut self, other: &Self) {
+                $( $xmerge(&mut self.$xfield, &other.$xfield); )*
+                $( wire_body!(@merge $merge, self.$field, other.$field); )*
+            }
+
+            fn members(&self) -> Vec<(&'static str, Json)> {
+                vec![$( ($key, wire_body!(@encode $kind, self.$field)) ),*]
+            }
+
+            fn decode(mut self, value: &Json) -> Result<Self, ProtoError> {
+                $( self.$field = wire_body!(@decode $kind, $presence, value, $key)?; )*
+                Ok(self)
+            }
+
+            fn scrape(&self) -> Vec<ScrapeLine> {
+                [$( wire_body!(@scrape self.$field $(, $section $metric
+                    $({ $lkey = $lval })? $($mtype $help)?)?) ),*]
+                .into_iter()
+                .flatten()
+                .collect()
+            }
+        }
+    };
+}
+
+wire_body! {
+    /// Daemon counters reported by [`Response::Stats`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct StatsBody {}
+    table {
+        /// The daemon's protocol version.
+        protocol: u64 = "protocol", required, keep,
+            scrape Jobs "qlosure_protocol_version" gauge
+            "Wire protocol version this daemon speaks.";
+        /// Mapping worker count.
+        workers: u64 = "workers", required, sum,
+            scrape Jobs "qlosure_workers" gauge "Mapping worker threads.";
+        /// Jobs currently waiting in the admission queue.
+        queue_depth: u64 = "queue_depth", required, sum,
+            scrape Jobs "qlosure_queue_depth" gauge "Jobs waiting in the admission queue.";
+        /// Jobs accepted since startup.
+        submitted: u64 = "submitted", required, sum,
+            scrape Jobs "qlosure_jobs_submitted_total" counter "Jobs accepted since startup.";
+        /// Jobs completed successfully since startup.
+        completed: u64 = "completed", required, sum,
+            scrape Jobs "qlosure_jobs_completed_total" counter
+            "Jobs completed successfully since startup.";
+        /// Jobs rejected at admission (queue full / shutting down).
+        rejected: u64 = "rejected", required, sum,
+            scrape Jobs "qlosure_jobs_rejected_total" counter
+            "Jobs rejected at admission since startup.";
+        /// Jobs that failed while mapping.
+        failed: u64 = "failed", required, sum,
+            scrape Jobs "qlosure_jobs_failed_total" counter
+            "Jobs that failed while mapping since startup.";
+        /// Process-wide shared distance-cache hits (cross-request
+        /// amortization counter).
+        distance_hits: u64 = "distance_hits", required, sum,
+            scrape Caches "qlosure_cache_hits_total" { cache = "distance" } counter
+            "Shared per-device cache hits, by cache.";
+        /// Process-wide shared distance-cache misses.
+        distance_misses: u64 = "distance_misses", required, sum,
+            scrape Caches "qlosure_cache_misses_total" { cache = "distance" } counter
+            "Shared per-device cache misses, by cache.";
+        /// Process-wide transitive-closure memo hits.
+        closure_hits: u64 = "closure_hits", required, sum,
+            scrape Caches "qlosure_cache_hits_total" { cache = "closure" };
+        /// Process-wide transitive-closure memo misses.
+        closure_misses: u64 = "closure_misses", required, sum,
+            scrape Caches "qlosure_cache_misses_total" { cache = "closure" };
+        /// Process-wide reliability-weighted distance-cache hits.
+        weighted_hits: u64 = "weighted_hits", additive, sum,
+            scrape Caches "qlosure_cache_hits_total" { cache = "weighted" };
+        /// Process-wide reliability-weighted distance-cache misses.
+        weighted_misses: u64 = "weighted_misses", additive, sum,
+            scrape Caches "qlosure_cache_misses_total" { cache = "weighted" };
+        /// Process-wide hierarchical sub-routing fragment-memo hits.
+        subroute_hits: u64 = "subroute_hits", additive, sum,
+            scrape Caches "qlosure_cache_hits_total" { cache = "subroute" };
+        /// Process-wide hierarchical sub-routing fragment-memo misses.
+        subroute_misses: u64 = "subroute_misses", additive, sum,
+            scrape Caches "qlosure_cache_misses_total" { cache = "subroute" };
+        /// Plan-store hits where the fragment was byte-identical to one
+        /// already cached.
+        plan_exact_hits: u64 = "plan_exact_hits", additive, sum,
+            scrape Caches "qlosure_plan_hits_total" { tier = "exact" } counter
+            "Fragment plan-store hits, by tier.";
+        /// Plan-store hits earned by canonicalization: a structurally
+        /// isomorphic fragment under a different labeling shared the plan.
+        plan_canonical_hits: u64 = "plan_canonical_hits", additive, sum,
+            scrape Caches "qlosure_plan_hits_total" { tier = "canonical" };
+        /// Plans loaded from the optional `--plan-store` disk tier.
+        plan_disk_hits: u64 = "plan_disk_hits", additive, sum,
+            scrape Caches "qlosure_plan_hits_total" { tier = "disk" };
+        /// Plans persisted to the disk tier after a fresh compute.
+        plan_disk_writes: u64 = "plan_disk_writes", additive, sum,
+            scrape Caches "qlosure_plan_disk_writes_total" counter
+            "Plans persisted to the disk tier after a fresh compute.";
+    }
 }
 
 /// One node of a job's span tree, as carried by [`Response::Trace`].
@@ -353,221 +522,109 @@ impl SpanNode {
     }
 }
 
-/// The full observability export reported by [`Response::Metrics`]: the
-/// counter block plus queue-delay percentiles and per-pass timing
-/// aggregates. [`MetricsBody::render`] flattens it into scraper-friendly
-/// text for `qlosure-cli metrics`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricsBody {
-    /// The daemon counters (same block as [`Response::Stats`]).
-    pub stats: StatsBody,
-    /// Median seconds between admission and worker pickup, over the
-    /// retained sample window.
-    pub queue_p50: f64,
-    /// 90th-percentile queue delay (seconds).
-    pub queue_p90: f64,
-    /// 99th-percentile queue delay (seconds).
-    pub queue_p99: f64,
-    /// Worst queue delay in the sample window (seconds).
-    pub queue_max: f64,
-    /// How many completed jobs the percentiles were computed over.
-    pub queue_samples: u64,
-    /// Per-pass timing aggregates as `(label, runs, total_seconds)`,
-    /// sorted by label. Labels are pipeline pass labels
-    /// (`stage:name`, e.g. `routing:qlosure`).
-    pub passes: Vec<(String, u64, f64)>,
-    /// Seconds since the service started (additive field; absent on the
-    /// wire decodes as 0).
-    pub uptime_seconds: f64,
-    /// Jobs admitted but not yet finished — queued plus in flight
-    /// (additive field; absent on the wire decodes as 0).
-    pub jobs_inflight: u64,
-    /// Journal events evicted from the bounded event ring, process-wide
-    /// (additive field; absent on the wire decodes as 0).
-    pub events_dropped: u64,
-    /// Spans dropped by full per-job trace sinks, process-wide (additive
-    /// field; absent on the wire decodes as 0).
-    pub trace_drops: u64,
+wire_body! {
+    /// The full observability export reported by [`Response::Metrics`]:
+    /// the counter block plus queue-delay percentiles and per-pass timing
+    /// aggregates. [`MetricsBody::render`] flattens it into
+    /// scraper-friendly text for `qlosure-cli metrics`.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct MetricsBody {
+        /// The daemon counters (same block as [`Response::Stats`]).
+        pub stats: StatsBody = StatsBody::zero(), StatsBody::merge;
+        /// Per-pass timing aggregates as `(label, runs, total_seconds)`,
+        /// sorted by label. Labels are pipeline pass labels
+        /// (`stage:name`, e.g. `routing:qlosure`).
+        pub passes: Vec<(String, u64, f64)> = Vec::new(), merge_passes;
+    }
+    table {
+        /// Median seconds between admission and worker pickup, over the
+        /// retained sample window.
+        queue_p50: f64 = "queue_p50", required, max,
+            scrape Queue "qlosure_queue_seconds" { quantile = "0.5" } summary
+            "Seconds between admission and worker pickup.";
+        /// 90th-percentile queue delay (seconds).
+        queue_p90: f64 = "queue_p90", required, max,
+            scrape Queue "qlosure_queue_seconds" { quantile = "0.9" };
+        /// 99th-percentile queue delay (seconds).
+        queue_p99: f64 = "queue_p99", required, max,
+            scrape Queue "qlosure_queue_seconds" { quantile = "0.99" };
+        /// Worst queue delay in the sample window (seconds).
+        queue_max: f64 = "queue_max", required, max,
+            scrape Queue "qlosure_queue_seconds_max" gauge
+            "Worst queue delay in the sample window.";
+        /// How many completed jobs the percentiles were computed over.
+        queue_samples: u64 = "queue_samples", required, sum,
+            scrape Queue "qlosure_queue_seconds_count" counter
+            "Completed jobs the queue percentiles cover.";
+        /// Seconds since the service started (the fleet's is its oldest
+        /// shard's).
+        uptime_seconds: f64 = "uptime_seconds", additive, max,
+            scrape Jobs "qlosure_uptime_seconds" gauge "Seconds since the service started.";
+        /// Jobs admitted but not yet finished — queued plus in flight.
+        jobs_inflight: u64 = "jobs_inflight", additive, sum,
+            scrape Jobs "qlosure_jobs_inflight" gauge "Jobs admitted but not yet finished.";
+        /// Journal events evicted from the bounded event ring,
+        /// process-wide.
+        events_dropped: u64 = "events_dropped", additive, sum,
+            scrape Jobs "qlosure_events_dropped_total" counter
+            "Journal events evicted from the bounded event ring.";
+        /// Spans dropped by full per-job trace sinks, process-wide.
+        trace_drops: u64 = "trace_drops", additive, sum,
+            scrape Jobs "qlosure_trace_drops_total" counter
+            "Spans dropped by full per-job trace sinks.";
+    }
+}
+
+/// Sums per-pass aggregates label by label, keeping them sorted by label.
+fn merge_passes(total: &mut Vec<(String, u64, f64)>, part: &[(String, u64, f64)]) {
+    for (label, runs, seconds) in part {
+        match total.iter_mut().find(|(have, _, _)| have == label) {
+            Some(entry) => {
+                entry.1 += runs;
+                entry.2 += seconds;
+            }
+            None => total.push((label.clone(), *runs, *seconds)),
+        }
+    }
+    total.sort_by(|a, b| a.0.cmp(&b.0));
 }
 
 impl MetricsBody {
     /// Flattens the export into line-oriented `name value` /
     /// `name{label="..."} value` text a scraper can ingest directly,
     /// with `# HELP`/`# TYPE` comment lines per metric family for
-    /// standard scraper compatibility. Deterministic: counters in
-    /// declaration order, pass lines sorted by label (sorted here too,
-    /// not just daemon-side, so repeated scrapes diff cleanly whatever
+    /// standard scraper compatibility. Lines that share a label key
+    /// (say `cache`) form one block whose family headers come first.
+    /// Deterministic: counters by section (jobs, caches, queue), then
+    /// table order; pass lines sorted by label (sorted here too, not
+    /// just daemon-side, so repeated scrapes diff cleanly whatever
     /// encoded the body).
     #[must_use]
     pub fn render(&self) -> String {
-        fn esc(label: &str) -> String {
-            label.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         fn meta(out: &mut String, name: &str, kind: &str, help: &str) {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
         }
-        let s = &self.stats;
+        let mut lines = self.stats.scrape();
+        lines.extend(self.scrape());
+        lines.sort_by_key(|line| line.section);
         let mut out = String::new();
-        for (name, kind, help, value) in [
-            (
-                "qlosure_protocol_version",
-                "gauge",
-                "Wire protocol version this daemon speaks.",
-                s.protocol,
-            ),
-            (
-                "qlosure_workers",
-                "gauge",
-                "Mapping worker threads.",
-                s.workers,
-            ),
-            (
-                "qlosure_queue_depth",
-                "gauge",
-                "Jobs waiting in the admission queue.",
-                s.queue_depth,
-            ),
-            (
-                "qlosure_jobs_submitted_total",
-                "counter",
-                "Jobs accepted since startup.",
-                s.submitted,
-            ),
-            (
-                "qlosure_jobs_completed_total",
-                "counter",
-                "Jobs completed successfully since startup.",
-                s.completed,
-            ),
-            (
-                "qlosure_jobs_rejected_total",
-                "counter",
-                "Jobs rejected at admission since startup.",
-                s.rejected,
-            ),
-            (
-                "qlosure_jobs_failed_total",
-                "counter",
-                "Jobs that failed while mapping since startup.",
-                s.failed,
-            ),
-        ] {
-            meta(&mut out, name, kind, help);
-            out.push_str(&format!("{name} {value}\n"));
+        let same_key = |a: &ScrapeLine, b: &ScrapeLine| match (a.label, b.label) {
+            (Some((a, _)), Some((b, _))) => a == b,
+            _ => false,
+        };
+        for block in lines.chunk_by(same_key) {
+            for line in block {
+                if let Some((kind, help)) = line.family {
+                    meta(&mut out, line.name, kind, help);
+                }
+            }
+            for line in block {
+                let label = line
+                    .label
+                    .map_or(String::new(), |(k, v)| format!("{{{k}=\"{v}\"}}"));
+                out.push_str(&format!("{}{label} {}\n", line.name, line.value));
+            }
         }
-        meta(
-            &mut out,
-            "qlosure_uptime_seconds",
-            "gauge",
-            "Seconds since the service started.",
-        );
-        out.push_str(&format!("qlosure_uptime_seconds {}\n", self.uptime_seconds));
-        meta(
-            &mut out,
-            "qlosure_jobs_inflight",
-            "gauge",
-            "Jobs admitted but not yet finished.",
-        );
-        out.push_str(&format!("qlosure_jobs_inflight {}\n", self.jobs_inflight));
-        meta(
-            &mut out,
-            "qlosure_events_dropped_total",
-            "counter",
-            "Journal events evicted from the bounded event ring.",
-        );
-        out.push_str(&format!(
-            "qlosure_events_dropped_total {}\n",
-            self.events_dropped
-        ));
-        meta(
-            &mut out,
-            "qlosure_trace_drops_total",
-            "counter",
-            "Spans dropped by full per-job trace sinks.",
-        );
-        out.push_str(&format!("qlosure_trace_drops_total {}\n", self.trace_drops));
-        meta(
-            &mut out,
-            "qlosure_cache_hits_total",
-            "counter",
-            "Shared per-device cache hits, by cache.",
-        );
-        meta(
-            &mut out,
-            "qlosure_cache_misses_total",
-            "counter",
-            "Shared per-device cache misses, by cache.",
-        );
-        for (cache, hits, misses) in [
-            ("distance", s.distance_hits, s.distance_misses),
-            ("closure", s.closure_hits, s.closure_misses),
-            ("weighted", s.weighted_hits, s.weighted_misses),
-            ("subroute", s.subroute_hits, s.subroute_misses),
-        ] {
-            out.push_str(&format!(
-                "qlosure_cache_hits_total{{cache=\"{cache}\"}} {hits}\n"
-            ));
-            out.push_str(&format!(
-                "qlosure_cache_misses_total{{cache=\"{cache}\"}} {misses}\n"
-            ));
-        }
-        meta(
-            &mut out,
-            "qlosure_plan_hits_total",
-            "counter",
-            "Fragment plan-store hits, by tier.",
-        );
-        for (tier, hits) in [
-            ("exact", s.plan_exact_hits),
-            ("canonical", s.plan_canonical_hits),
-            ("disk", s.plan_disk_hits),
-        ] {
-            out.push_str(&format!(
-                "qlosure_plan_hits_total{{tier=\"{tier}\"}} {hits}\n"
-            ));
-        }
-        meta(
-            &mut out,
-            "qlosure_plan_disk_writes_total",
-            "counter",
-            "Plans persisted to the disk tier after a fresh compute.",
-        );
-        out.push_str(&format!(
-            "qlosure_plan_disk_writes_total {}\n",
-            s.plan_disk_writes
-        ));
-        meta(
-            &mut out,
-            "qlosure_queue_seconds",
-            "summary",
-            "Seconds between admission and worker pickup.",
-        );
-        for (quantile, value) in [
-            ("0.5", self.queue_p50),
-            ("0.9", self.queue_p90),
-            ("0.99", self.queue_p99),
-        ] {
-            out.push_str(&format!(
-                "qlosure_queue_seconds{{quantile=\"{quantile}\"}} {value}\n"
-            ));
-        }
-        meta(
-            &mut out,
-            "qlosure_queue_seconds_max",
-            "gauge",
-            "Worst queue delay in the sample window.",
-        );
-        out.push_str(&format!("qlosure_queue_seconds_max {}\n", self.queue_max));
-        meta(
-            &mut out,
-            "qlosure_queue_seconds_count",
-            "counter",
-            "Completed jobs the queue percentiles cover.",
-        );
-        out.push_str(&format!(
-            "qlosure_queue_seconds_count {}\n",
-            self.queue_samples
-        ));
         let mut passes: Vec<&(String, u64, f64)> = self.passes.iter().collect();
         passes.sort_by(|a, b| a.0.cmp(&b.0));
         meta(
@@ -583,62 +640,64 @@ impl MetricsBody {
             "Cumulative pipeline pass wall-clock seconds, by pass label.",
         );
         for (label, runs, total) in passes {
+            let label = label.replace('\\', "\\\\").replace('"', "\\\"");
             out.push_str(&format!(
-                "qlosure_pass_runs_total{{pass=\"{}\"}} {runs}\n",
-                esc(label)
+                "qlosure_pass_runs_total{{pass=\"{label}\"}} {runs}\n"
             ));
             out.push_str(&format!(
-                "qlosure_pass_seconds_total{{pass=\"{}\"}} {total}\n",
-                esc(label)
+                "qlosure_pass_seconds_total{{pass=\"{label}\"}} {total}\n"
             ));
         }
         out
     }
 }
 
-/// One point of the metrics time-series ring, carried by
-/// [`Response::MetricsHistory`]: the counters a dashboard differentiates
-/// into rates, snapshotted from a full [`MetricsBody`] by the daemon's
-/// sampler thread.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SampleBody {
-    /// Monotone sample index (daemon-local; survives ring eviction, so a
-    /// poller can detect gaps).
-    pub index: u64,
-    /// Uptime seconds at sample time — the series' time axis.
-    pub uptime_seconds: f64,
-    /// Jobs accepted since startup.
-    pub submitted: u64,
-    /// Jobs completed since startup.
-    pub completed: u64,
-    /// Jobs failed since startup.
-    pub failed: u64,
-    /// Jobs rejected at admission since startup.
-    pub rejected: u64,
-    /// Admission-queue depth at sample time.
-    pub queue_depth: u64,
-    /// Jobs admitted but not yet finished at sample time.
-    pub jobs_inflight: u64,
-    /// 99th-percentile queue delay at sample time (seconds).
-    pub queue_p99: f64,
-    /// Shared distance-cache hits since startup.
-    pub distance_hits: u64,
-    /// Shared distance-cache misses since startup.
-    pub distance_misses: u64,
-    /// Plan-store exact-tier hits since startup.
-    pub plan_exact_hits: u64,
-    /// Plan-store canonical-tier hits since startup.
-    pub plan_canonical_hits: u64,
-    /// Plan-store disk-tier hits since startup.
-    pub plan_disk_hits: u64,
-    /// Sub-routing fragment-memo hits since startup.
-    pub subroute_hits: u64,
-    /// Sub-routing fragment-memo misses since startup.
-    pub subroute_misses: u64,
-    /// Journal events evicted from the bounded ring since startup.
-    pub events_dropped: u64,
-    /// Spans dropped by full trace sinks since startup.
-    pub trace_drops: u64,
+wire_body! {
+    /// One point of the metrics time-series ring, carried by
+    /// [`Response::MetricsHistory`]: the counters a dashboard
+    /// differentiates into rates, snapshotted from a full
+    /// [`MetricsBody`] by the daemon's sampler thread.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SampleBody {}
+    table {
+        /// Monotone sample index (daemon-local; survives ring eviction,
+        /// so a poller can detect gaps).
+        index: u64 = "index", required, keep;
+        /// Uptime seconds at sample time — the series' time axis.
+        uptime_seconds: f64 = "uptime_seconds", required, max;
+        /// Jobs accepted since startup.
+        submitted: u64 = "submitted", required, sum;
+        /// Jobs completed since startup.
+        completed: u64 = "completed", required, sum;
+        /// Jobs failed since startup.
+        failed: u64 = "failed", required, sum;
+        /// Jobs rejected at admission since startup.
+        rejected: u64 = "rejected", required, sum;
+        /// Admission-queue depth at sample time.
+        queue_depth: u64 = "queue_depth", required, sum;
+        /// Jobs admitted but not yet finished at sample time.
+        jobs_inflight: u64 = "jobs_inflight", required, sum;
+        /// 99th-percentile queue delay at sample time (seconds).
+        queue_p99: f64 = "queue_p99", required, max;
+        /// Shared distance-cache hits since startup.
+        distance_hits: u64 = "distance_hits", required, sum;
+        /// Shared distance-cache misses since startup.
+        distance_misses: u64 = "distance_misses", required, sum;
+        /// Plan-store exact-tier hits since startup.
+        plan_exact_hits: u64 = "plan_exact_hits", required, sum;
+        /// Plan-store canonical-tier hits since startup.
+        plan_canonical_hits: u64 = "plan_canonical_hits", required, sum;
+        /// Plan-store disk-tier hits since startup.
+        plan_disk_hits: u64 = "plan_disk_hits", required, sum;
+        /// Sub-routing fragment-memo hits since startup.
+        subroute_hits: u64 = "subroute_hits", required, sum;
+        /// Sub-routing fragment-memo misses since startup.
+        subroute_misses: u64 = "subroute_misses", required, sum;
+        /// Journal events evicted from the bounded ring since startup.
+        events_dropped: u64 = "events_dropped", additive, sum;
+        /// Spans dropped by full trace sinks since startup.
+        trace_drops: u64 = "trace_drops", additive, sum;
+    }
 }
 
 impl SampleBody {
@@ -679,21 +738,24 @@ impl SampleBody {
     }
 }
 
-/// Rates computed over one shard's retained sample window, carried by
-/// [`SeriesBody`]. All zeros when the window holds fewer than two
-/// samples (no interval to differentiate over).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RatesBody {
-    /// Seconds between the oldest and newest retained sample.
-    pub window_seconds: f64,
-    /// Completed jobs per second over the window.
-    pub jobs_per_second: f64,
-    /// Cache hits ÷ cache probes over the window (distance +
-    /// sub-routing), in `[0, 1]`; 0 when the window saw no probes.
-    pub cache_hit_rate: f64,
-    /// Newest queue depth minus oldest (signed): positive means the
-    /// backlog is growing.
-    pub queue_depth_trend: f64,
+wire_body! {
+    /// Rates computed over one shard's retained sample window, carried by
+    /// [`SeriesBody`]. All zeros when the window holds fewer than two
+    /// samples (no interval to differentiate over).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct RatesBody {}
+    table {
+        /// Seconds between the oldest and newest retained sample.
+        window_seconds: f64 = "window_seconds", required, max;
+        /// Completed jobs per second over the window.
+        jobs_per_second: f64 = "jobs_per_second", required, sum;
+        /// Cache hits ÷ cache probes over the window (distance +
+        /// sub-routing), in `[0, 1]`; 0 when the window saw no probes.
+        cache_hit_rate: f64 = "cache_hit_rate", required, keep;
+        /// Newest queue depth minus oldest (signed): positive means the
+        /// backlog is growing.
+        queue_depth_trend: f64 = "queue_depth_trend", required, sum;
+    }
 }
 
 impl RatesBody {
@@ -704,12 +766,7 @@ impl RatesBody {
     #[must_use]
     pub fn over(samples: &[SampleBody]) -> RatesBody {
         let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
-            return RatesBody {
-                window_seconds: 0.0,
-                jobs_per_second: 0.0,
-                cache_hit_rate: 0.0,
-                queue_depth_trend: 0.0,
-            };
+            return RatesBody::zero();
         };
         let window = (last.uptime_seconds - first.uptime_seconds).max(0.0);
         let completed = last.completed.saturating_sub(first.completed);
@@ -1070,32 +1127,6 @@ pub fn encode_request(request: &Request) -> Result<String, json::EncodeError> {
     value.encode()
 }
 
-/// The counter block, shared by the `stats` response and the `stats`
-/// field of the `metrics` response.
-fn stats_members(stats: &StatsBody) -> Vec<(&'static str, Json)> {
-    vec![
-        ("protocol", num_u64(stats.protocol)),
-        ("workers", num_u64(stats.workers)),
-        ("queue_depth", num_u64(stats.queue_depth)),
-        ("submitted", num_u64(stats.submitted)),
-        ("completed", num_u64(stats.completed)),
-        ("rejected", num_u64(stats.rejected)),
-        ("failed", num_u64(stats.failed)),
-        ("distance_hits", num_u64(stats.distance_hits)),
-        ("distance_misses", num_u64(stats.distance_misses)),
-        ("closure_hits", num_u64(stats.closure_hits)),
-        ("closure_misses", num_u64(stats.closure_misses)),
-        ("weighted_hits", num_u64(stats.weighted_hits)),
-        ("weighted_misses", num_u64(stats.weighted_misses)),
-        ("subroute_hits", num_u64(stats.subroute_hits)),
-        ("subroute_misses", num_u64(stats.subroute_misses)),
-        ("plan_exact_hits", num_u64(stats.plan_exact_hits)),
-        ("plan_canonical_hits", num_u64(stats.plan_canonical_hits)),
-        ("plan_disk_hits", num_u64(stats.plan_disk_hits)),
-        ("plan_disk_writes", num_u64(stats.plan_disk_writes)),
-    ]
-}
-
 fn encode_span(node: &SpanNode) -> Json {
     let mut members = vec![
         ("name", Json::Str(node.name.clone())),
@@ -1152,48 +1183,14 @@ fn encode_summary(s: &Summary) -> Json {
     obj(members)
 }
 
-fn encode_sample(s: &SampleBody) -> Json {
-    obj(vec![
-        ("index", num_u64(s.index)),
-        ("uptime_seconds", Json::Num(s.uptime_seconds)),
-        ("submitted", num_u64(s.submitted)),
-        ("completed", num_u64(s.completed)),
-        ("failed", num_u64(s.failed)),
-        ("rejected", num_u64(s.rejected)),
-        ("queue_depth", num_u64(s.queue_depth)),
-        ("jobs_inflight", num_u64(s.jobs_inflight)),
-        ("queue_p99", Json::Num(s.queue_p99)),
-        ("distance_hits", num_u64(s.distance_hits)),
-        ("distance_misses", num_u64(s.distance_misses)),
-        ("plan_exact_hits", num_u64(s.plan_exact_hits)),
-        ("plan_canonical_hits", num_u64(s.plan_canonical_hits)),
-        ("plan_disk_hits", num_u64(s.plan_disk_hits)),
-        ("subroute_hits", num_u64(s.subroute_hits)),
-        ("subroute_misses", num_u64(s.subroute_misses)),
-        ("events_dropped", num_u64(s.events_dropped)),
-        ("trace_drops", num_u64(s.trace_drops)),
-    ])
-}
-
 fn encode_series(series: &SeriesBody) -> Json {
     obj(vec![
         ("shard", num_u64(series.shard)),
         (
             "samples",
-            Json::Arr(series.samples.iter().map(encode_sample).collect()),
+            Json::Arr(series.samples.iter().map(|s| obj(s.members())).collect()),
         ),
-        (
-            "rates",
-            obj(vec![
-                ("window_seconds", Json::Num(series.rates.window_seconds)),
-                ("jobs_per_second", Json::Num(series.rates.jobs_per_second)),
-                ("cache_hit_rate", Json::Num(series.rates.cache_hit_rate)),
-                (
-                    "queue_depth_trend",
-                    Json::Num(series.rates.queue_depth_trend),
-                ),
-            ]),
-        ),
+        ("rates", obj(series.rates.members())),
     ])
 }
 
@@ -1244,37 +1241,19 @@ pub fn encode_response(response: &Response) -> Result<String, json::EncodeError>
                 ("message", Json::Str(message.clone())),
             ],
         ),
-        Response::Stats(stats) => versioned("stats", stats_members(stats)),
-        Response::Metrics(metrics) => versioned(
-            "metrics",
-            vec![
-                ("stats", obj(stats_members(&metrics.stats))),
-                ("queue_p50", Json::Num(metrics.queue_p50)),
-                ("queue_p90", Json::Num(metrics.queue_p90)),
-                ("queue_p99", Json::Num(metrics.queue_p99)),
-                ("queue_max", Json::Num(metrics.queue_max)),
-                ("queue_samples", num_u64(metrics.queue_samples)),
-                ("uptime_seconds", Json::Num(metrics.uptime_seconds)),
-                ("jobs_inflight", num_u64(metrics.jobs_inflight)),
-                ("events_dropped", num_u64(metrics.events_dropped)),
-                ("trace_drops", num_u64(metrics.trace_drops)),
+        Response::Stats(stats) => versioned("stats", stats.members()),
+        Response::Metrics(metrics) => {
+            let mut members = vec![("stats", obj(metrics.stats.members()))];
+            members.extend(metrics.members());
+            let passes = metrics.passes.iter().map(|(label, runs, total)| {
                 (
-                    "passes",
-                    Json::Obj(
-                        metrics
-                            .passes
-                            .iter()
-                            .map(|(label, runs, total)| {
-                                (
-                                    label.clone(),
-                                    Json::Arr(vec![num_u64(*runs), Json::Num(*total)]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        ),
+                    label.clone(),
+                    Json::Arr(vec![num_u64(*runs), Json::Num(*total)]),
+                )
+            });
+            members.push(("passes", Json::Obj(passes.collect())));
+            versioned("metrics", members)
+        }
         Response::MetricsHistory(history) => versioned(
             "metrics-history",
             vec![
@@ -1525,32 +1504,6 @@ fn parse_summary(value: &Json) -> Result<Summary, ProtoError> {
     })
 }
 
-/// Parses a counter block — the top level of a `stats` response or the
-/// `stats` member of a `metrics` response.
-fn parse_stats(value: &Json) -> Result<StatsBody, ProtoError> {
-    Ok(StatsBody {
-        protocol: u64_field(value, "protocol")?,
-        workers: u64_field(value, "workers")?,
-        queue_depth: u64_field(value, "queue_depth")?,
-        submitted: u64_field(value, "submitted")?,
-        completed: u64_field(value, "completed")?,
-        rejected: u64_field(value, "rejected")?,
-        failed: u64_field(value, "failed")?,
-        distance_hits: u64_field(value, "distance_hits")?,
-        distance_misses: u64_field(value, "distance_misses")?,
-        closure_hits: u64_field(value, "closure_hits")?,
-        closure_misses: u64_field(value, "closure_misses")?,
-        weighted_hits: opt_u64_field(value, "weighted_hits")?,
-        weighted_misses: opt_u64_field(value, "weighted_misses")?,
-        subroute_hits: opt_u64_field(value, "subroute_hits")?,
-        subroute_misses: opt_u64_field(value, "subroute_misses")?,
-        plan_exact_hits: opt_u64_field(value, "plan_exact_hits")?,
-        plan_canonical_hits: opt_u64_field(value, "plan_canonical_hits")?,
-        plan_disk_hits: opt_u64_field(value, "plan_disk_hits")?,
-        plan_disk_writes: opt_u64_field(value, "plan_disk_writes")?,
-    })
-}
-
 /// Parses the `passes` object of a `metrics` response: label →
 /// `[runs, total_seconds]`.
 fn parse_passes(value: &Json) -> Result<Vec<(String, u64, f64)>, ProtoError> {
@@ -1574,46 +1527,18 @@ fn parse_passes(value: &Json) -> Result<Vec<(String, u64, f64)>, ProtoError> {
         .collect()
 }
 
-fn parse_sample(value: &Json) -> Result<SampleBody, ProtoError> {
-    Ok(SampleBody {
-        index: u64_field(value, "index")?,
-        uptime_seconds: f64_field(value, "uptime_seconds")?,
-        submitted: u64_field(value, "submitted")?,
-        completed: u64_field(value, "completed")?,
-        failed: u64_field(value, "failed")?,
-        rejected: u64_field(value, "rejected")?,
-        queue_depth: u64_field(value, "queue_depth")?,
-        jobs_inflight: u64_field(value, "jobs_inflight")?,
-        queue_p99: f64_field(value, "queue_p99")?,
-        distance_hits: u64_field(value, "distance_hits")?,
-        distance_misses: u64_field(value, "distance_misses")?,
-        plan_exact_hits: u64_field(value, "plan_exact_hits")?,
-        plan_canonical_hits: u64_field(value, "plan_canonical_hits")?,
-        plan_disk_hits: u64_field(value, "plan_disk_hits")?,
-        subroute_hits: u64_field(value, "subroute_hits")?,
-        subroute_misses: u64_field(value, "subroute_misses")?,
-        events_dropped: opt_u64_field(value, "events_dropped")?,
-        trace_drops: opt_u64_field(value, "trace_drops")?,
-    })
-}
-
 fn parse_series(value: &Json) -> Result<SeriesBody, ProtoError> {
     let samples = field(value, "samples")?
         .as_arr()
         .ok_or_else(|| shape("field `samples` must be an array"))?
         .iter()
-        .map(parse_sample)
+        .map(|sample| SampleBody::zero().decode(sample))
         .collect::<Result<Vec<_>, _>>()?;
     let rates = field(value, "rates")?;
     Ok(SeriesBody {
         shard: u64_field(value, "shard")?,
         samples,
-        rates: RatesBody {
-            window_seconds: f64_field(rates, "window_seconds")?,
-            jobs_per_second: f64_field(rates, "jobs_per_second")?,
-            cache_hit_rate: f64_field(rates, "cache_hit_rate")?,
-            queue_depth_trend: f64_field(rates, "queue_depth_trend")?,
-        },
+        rates: RatesBody::zero().decode(rates)?,
     })
 }
 
@@ -1703,20 +1628,15 @@ pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
             id: u64_field(&value, "id")?,
             message: str_field(&value, "message")?,
         }),
-        "stats" => Ok(Response::Stats(parse_stats(&value)?)),
-        "metrics" => Ok(Response::Metrics(MetricsBody {
-            stats: parse_stats(field(&value, "stats")?)?,
-            queue_p50: f64_field(&value, "queue_p50")?,
-            queue_p90: f64_field(&value, "queue_p90")?,
-            queue_p99: f64_field(&value, "queue_p99")?,
-            queue_max: f64_field(&value, "queue_max")?,
-            queue_samples: u64_field(&value, "queue_samples")?,
-            passes: parse_passes(&value)?,
-            uptime_seconds: opt_f64_field(&value, "uptime_seconds")?,
-            jobs_inflight: opt_u64_field(&value, "jobs_inflight")?,
-            events_dropped: opt_u64_field(&value, "events_dropped")?,
-            trace_drops: opt_u64_field(&value, "trace_drops")?,
-        })),
+        "stats" => Ok(Response::Stats(StatsBody::zero().decode(&value)?)),
+        "metrics" => Ok(Response::Metrics(
+            MetricsBody {
+                stats: StatsBody::zero().decode(field(&value, "stats")?)?,
+                passes: parse_passes(&value)?,
+                ..MetricsBody::zero()
+            }
+            .decode(&value)?,
+        )),
         "metrics-history" => Ok(Response::MetricsHistory(HistoryBody {
             sample_seconds: f64_field(&value, "sample_seconds")?,
             series: field(&value, "series")?

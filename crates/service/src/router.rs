@@ -32,8 +32,8 @@
 use crate::client::{Client, ClientError};
 use crate::net::{self, ConnLimits, Endpoint, FrameEvent, Stream};
 use crate::proto::{
-    encode_response, parse_request, ErrorCode, HistoryBody, MetricsBody, Request, Response,
-    SpanNode, StatsBody, MAX_FRAME, PROTOCOL_VERSION,
+    encode_response, parse_request, ErrorCode, FlatBody, HistoryBody, MetricsBody, Request,
+    Response, SpanNode, StatsBody, MAX_FRAME, PROTOCOL_VERSION,
 };
 use std::io::{BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -96,12 +96,7 @@ impl RouterHandle {
 /// shard, which is what keeps that shard's device caches hot.
 #[must_use]
 pub fn content_shard(key: &str, n_shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for byte in key.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    (hash % n_shards.max(1) as u64) as usize
+    (hier::fnv1a(key.as_bytes()) % n_shards.max(1) as u64) as usize
 }
 
 /// Binds the router's endpoint and serves on a background thread.
@@ -407,8 +402,23 @@ fn route(pool: &mut ShardPool<'_>, shutdown: &AtomicBool, line: &str) -> (Respon
             };
             (response, false)
         }
-        Request::Stats => (fan_out_stats(pool), false),
-        Request::Metrics => (fan_out_metrics(pool), false),
+        Request::Stats => {
+            let body_of: fn(&Response) -> Option<&StatsBody> = |response| match response {
+                Response::Stats(stats) => Some(stats),
+                _ => None,
+            };
+            let fleet = fold_shards(pool, &request, fleet_stats(), body_of, Response::Stats);
+            (fleet, false)
+        }
+        Request::Metrics => {
+            let body_of: fn(&Response) -> Option<&MetricsBody> = |response| match response {
+                Response::Metrics(metrics) => Some(metrics),
+                _ => None,
+            };
+            let total = fleet_metrics(obs::dropped_total());
+            let fleet = fold_shards(pool, &request, total, body_of, Response::Metrics);
+            (fleet, false)
+        }
         Request::MetricsHistory => (fan_out_history(pool), false),
         Request::Events {
             min_level,
@@ -430,130 +440,53 @@ fn route(pool: &mut ShardPool<'_>, shutdown: &AtomicBool, line: &str) -> (Respon
     }
 }
 
-/// Sums two stats bodies field-wise (protocol stays the wire version,
-/// not a sum).
-fn add_stats(total: &mut StatsBody, shard: &StatsBody) {
-    total.workers += shard.workers;
-    total.queue_depth += shard.queue_depth;
-    total.submitted += shard.submitted;
-    total.completed += shard.completed;
-    total.rejected += shard.rejected;
-    total.failed += shard.failed;
-    total.distance_hits += shard.distance_hits;
-    total.distance_misses += shard.distance_misses;
-    total.closure_hits += shard.closure_hits;
-    total.closure_misses += shard.closure_misses;
-    total.weighted_hits += shard.weighted_hits;
-    total.weighted_misses += shard.weighted_misses;
-    total.subroute_hits += shard.subroute_hits;
-    total.subroute_misses += shard.subroute_misses;
-    total.plan_exact_hits += shard.plan_exact_hits;
-    total.plan_canonical_hits += shard.plan_canonical_hits;
-    total.plan_disk_hits += shard.plan_disk_hits;
-    total.plan_disk_writes += shard.plan_disk_writes;
-}
-
-fn empty_stats() -> StatsBody {
+/// The fleet stats total before any shard folds in: every counter zero,
+/// the protocol this router speaks.
+fn fleet_stats() -> StatsBody {
     StatsBody {
         protocol: PROTOCOL_VERSION,
-        workers: 0,
-        queue_depth: 0,
-        submitted: 0,
-        completed: 0,
-        rejected: 0,
-        failed: 0,
-        distance_hits: 0,
-        distance_misses: 0,
-        closure_hits: 0,
-        closure_misses: 0,
-        weighted_hits: 0,
-        weighted_misses: 0,
-        subroute_hits: 0,
-        subroute_misses: 0,
-        plan_exact_hits: 0,
-        plan_canonical_hits: 0,
-        plan_disk_hits: 0,
-        plan_disk_writes: 0,
+        ..StatsBody::zero()
     }
 }
 
-/// Fleet stats: the field-wise sum over every reachable shard. Any
-/// unreachable shard makes the sweep fail typed — a partial sum would
-/// silently understate the fleet.
-fn fan_out_stats(pool: &mut ShardPool<'_>) -> Response {
-    let mut total = empty_stats();
+/// The fleet metrics total before any shard folds in: [`fleet_stats`]
+/// plus the router's own journal drops, so the fleet's
+/// `events_dropped` counts every process in it.
+fn fleet_metrics(own_events_dropped: u64) -> MetricsBody {
+    MetricsBody {
+        stats: fleet_stats(),
+        events_dropped: own_events_dropped,
+        ..MetricsBody::zero()
+    }
+}
+
+/// Folds every shard's answer to `request` into `total` by the body's
+/// merge rules: counters and per-pass timings sum, queue-delay
+/// percentiles and uptime take the per-shard max (conservative: "no
+/// shard is slower than this" — percentiles of different populations
+/// cannot be averaged). Any unreachable shard fails the sweep typed — a
+/// partial fold would silently understate the fleet.
+fn fold_shards<B: FlatBody>(
+    pool: &mut ShardPool<'_>,
+    request: &Request,
+    mut total: B,
+    body_of: fn(&Response) -> Option<&B>,
+    wrap: fn(B) -> Response,
+) -> Response {
     for shard in 0..pool.endpoints.len() {
-        match pool.call(shard, &Request::Stats) {
-            Response::Stats(stats) => add_stats(&mut total, &stats),
-            Response::Error { code, message } => return Response::Error { code, message },
-            other => {
+        let response = pool.call(shard, request);
+        match body_of(&response) {
+            Some(body) => total.merge(body),
+            None if matches!(response, Response::Error { .. }) => return response,
+            None => {
                 return Response::Error {
                     code: ErrorCode::ShardUnavailable,
-                    message: format!("shard {shard} answered stats with {other:?}"),
+                    message: format!("shard {shard} answered {request:?} with {response:?}"),
                 }
             }
         }
     }
-    Response::Stats(total)
-}
-
-/// Fleet metrics: counters and per-pass timings sum; queue-delay
-/// percentiles take the per-shard max (conservative: "no shard is slower
-/// than this" — percentiles of different populations cannot be averaged).
-fn fan_out_metrics(pool: &mut ShardPool<'_>) -> Response {
-    let mut total = MetricsBody {
-        stats: empty_stats(),
-        queue_p50: 0.0,
-        queue_p90: 0.0,
-        queue_p99: 0.0,
-        queue_max: 0.0,
-        queue_samples: 0,
-        uptime_seconds: 0.0,
-        jobs_inflight: 0,
-        events_dropped: obs::dropped_total(),
-        trace_drops: 0,
-        passes: Vec::new(),
-    };
-    let mut passes: std::collections::HashMap<String, (u64, f64)> =
-        std::collections::HashMap::new();
-    for shard in 0..pool.endpoints.len() {
-        match pool.call(shard, &Request::Metrics) {
-            Response::Metrics(m) => {
-                add_stats(&mut total.stats, &m.stats);
-                total.queue_p50 = total.queue_p50.max(m.queue_p50);
-                total.queue_p90 = total.queue_p90.max(m.queue_p90);
-                total.queue_p99 = total.queue_p99.max(m.queue_p99);
-                total.queue_max = total.queue_max.max(m.queue_max);
-                total.queue_samples += m.queue_samples;
-                // Fleet uptime is the oldest shard's (max); in-flight
-                // jobs sum like every other load figure.
-                total.uptime_seconds = total.uptime_seconds.max(m.uptime_seconds);
-                total.jobs_inflight += m.jobs_inflight;
-                // Drop counters sum across the fleet; the router's own
-                // journal drops were seeded into the total above.
-                total.events_dropped += m.events_dropped;
-                total.trace_drops += m.trace_drops;
-                for (label, runs, secs) in m.passes {
-                    let entry = passes.entry(label).or_insert((0, 0.0));
-                    entry.0 += runs;
-                    entry.1 += secs;
-                }
-            }
-            Response::Error { code, message } => return Response::Error { code, message },
-            other => {
-                return Response::Error {
-                    code: ErrorCode::ShardUnavailable,
-                    message: format!("shard {shard} answered metrics with {other:?}"),
-                }
-            }
-        }
-    }
-    total.passes = passes
-        .into_iter()
-        .map(|(label, (runs, secs))| (label, runs, secs))
-        .collect();
-    total.passes.sort_by(|a, b| a.0.cmp(&b.0));
-    Response::Metrics(total)
+    wrap(total)
 }
 
 /// Fleet metrics history: one series per shard, relabeled with the
@@ -661,6 +594,78 @@ mod tests {
             }
         }
         assert!(a >= 8 && b >= 8, "skewed split: {a}/{b}");
+    }
+
+    #[test]
+    fn fleet_merge_sums_counters_maxes_gauges_and_keeps_the_protocol() {
+        use crate::json::Json;
+        // A shard body whose every member holds a distinct nonzero value:
+        // member `i` of the counter block is `stats_base + i`, member `i`
+        // of the metrics table is `metrics_base + i`.
+        let numbered = |members: Vec<(&'static str, Json)>, base: f64| {
+            let numbered = members
+                .into_iter()
+                .enumerate()
+                .map(|(i, (key, _))| (key.to_string(), Json::Num(base + i as f64)));
+            Json::Obj(numbered.collect())
+        };
+        let shard = |stats_base: f64, metrics_base: f64, passes| {
+            let stats = numbered(StatsBody::zero().members(), stats_base);
+            let metrics = numbered(MetricsBody::zero().members(), metrics_base);
+            MetricsBody {
+                stats: StatsBody::zero().decode(&stats).unwrap(),
+                passes,
+                ..MetricsBody::zero()
+            }
+            .decode(&metrics)
+            .unwrap()
+        };
+        let pass = |label: &str, runs, seconds| (label.to_string(), runs, seconds);
+        // Shard `a` holds the larger gauges, so neither "first wins" nor
+        // "last wins" passes for a max rule.
+        let a = shard(1000.0, 5000.0, vec![pass("routing:qlosure", 3, 0.5)]);
+        let b = shard(
+            2000.0,
+            3000.0,
+            vec![
+                pass("routing:qlosure", 4, 0.25),
+                pass("analysis:weights", 5, 2.0),
+            ],
+        );
+        let own_dropped = 70;
+        let mut total = fleet_metrics(own_dropped);
+        total.merge(&a);
+        total.merge(&b);
+
+        let value = |members: Vec<(&'static str, Json)>, key: &str| {
+            let (_, value) = members.into_iter().find(|(k, _)| *k == key).unwrap();
+            value.as_f64().unwrap()
+        };
+        for (key, got) in total.stats.members() {
+            let want = match key {
+                "protocol" => PROTOCOL_VERSION as f64,
+                _ => value(a.stats.members(), key) + value(b.stats.members(), key),
+            };
+            assert_eq!(got.as_f64(), Some(want), "stats member `{key}`");
+        }
+        for (key, got) in total.members() {
+            let (x, y) = (value(a.members(), key), value(b.members(), key));
+            let want = match key {
+                "queue_p50" | "queue_p90" | "queue_p99" | "queue_max" | "uptime_seconds" => {
+                    x.max(y)
+                }
+                "events_dropped" => own_dropped as f64 + x + y,
+                _ => x + y,
+            };
+            assert_eq!(got.as_f64(), Some(want), "metrics member `{key}`");
+        }
+        assert_eq!(
+            total.passes,
+            vec![
+                pass("analysis:weights", 5, 2.0),
+                pass("routing:qlosure", 7, 0.75)
+            ]
+        );
     }
 
     #[test]

@@ -697,6 +697,27 @@ fn trace_round_trip_nests_intake_pass_and_fragment_spans() {
     daemon.join().unwrap();
 }
 
+/// Pins the FNV-1a outputs the fleet keys on: a changed shard number
+/// re-keys every device under the shard-by-content rule, and a changed
+/// fingerprint breaks every client comparing results across versions.
+#[test]
+fn content_shard_and_result_fingerprint_values_are_pinned() {
+    assert_eq!(content_shard("aspen16", 7), 5);
+    assert_eq!(content_shard("sherbrooke", 3), 0);
+    let mut routed = circuit::Circuit::new(3);
+    routed.h(0);
+    routed.cx(0, 1);
+    routed.swap(1, 2);
+    routed.rz(0.5, 2);
+    let mapping = qlosure::MappingResult {
+        routed,
+        initial_layout: vec![0, 1, 2],
+        final_layout: vec![0, 2, 1],
+        swaps: 1,
+    };
+    assert_eq!(result_fingerprint(&mapping), 0x3645_002e_5efd_0ade);
+}
+
 #[test]
 fn router_stitches_its_span_around_the_shard_tree() {
     let shard_a = daemon("trace-shard-a", 1);
